@@ -43,14 +43,6 @@ type Design interface {
 	Name() string
 	// Access services one request, advancing DRAM timing state.
 	Access(Request) Response
-	// AccessBatch services len(reqs) requests, writing resps[i] for
-	// reqs[i]. It must be bit-identical to calling Access once per request
-	// in slice order: designs split the work into a vectorizable plan
-	// phase (address mapping, tag/row precompute, predictor table probes)
-	// and a commit phase that replays the batch in arrival order against
-	// DRAM controller and table state. resps must be at least as long as
-	// reqs. SerialAccess is the default one-at-a-time adapter.
-	AccessBatch(reqs []Request, resps []Response)
 	// Snapshot returns the current statistics.
 	Snapshot() Snapshot
 	// ResetStats zeroes statistics while keeping all cache, predictor and
@@ -62,16 +54,6 @@ type Design interface {
 	// LoadState restores state saved by SaveState into an identically
 	// configured design, rejecting geometry mismatches.
 	LoadState(*checkpoint.Reader) error
-}
-
-// SerialAccess implements AccessBatch as one Access call per request, in
-// order. It is the default adapter for designs without a vectorized plan
-// phase (and the reference semantics every batched path must reproduce
-// bit-for-bit).
-func SerialAccess(d Design, reqs []Request, resps []Response) {
-	for i := range reqs {
-		resps[i] = d.Access(reqs[i])
-	}
 }
 
 // Snapshot is the uniform statistics view the experiment harness consumes.

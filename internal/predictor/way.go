@@ -65,9 +65,8 @@ func (p *WayPredictor) Update(page uint64, way int) {
 	p.table[mem.XORFoldHash(page, p.hashBits)] = uint8(way) & p.wayMask
 }
 
-// Index returns the table entry probed for page. Batched plan phases
-// precompute it once and reuse it for the probe, the update and the
-// stale-probe invalidation stamp.
+// Index returns the table entry probed for page, so a lookup that both
+// probes and trains the entry hashes the page once.
 func (p *WayPredictor) Index(page uint64) int {
 	return int(mem.XORFoldHash(page, p.hashBits))
 }
@@ -81,9 +80,6 @@ func (p *WayPredictor) PredictIndexed(idx int) int {
 func (p *WayPredictor) UpdateIndexed(idx, way int) {
 	p.table[idx] = uint8(way) & p.wayMask
 }
-
-// Entries returns the table size (sizes batch invalidation scratch).
-func (p *WayPredictor) Entries() int { return len(p.table) }
 
 // Record notes a prediction outcome for Table V accounting.
 func (p *WayPredictor) Record(correct bool) { p.stats.Accuracy.Add(correct) }

@@ -17,6 +17,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"unisoncache/internal/cache"
@@ -92,38 +93,22 @@ type Machine struct {
 	// run mid-flight and a restored machine continue it bit-identically.
 	run runState
 
-	// batching enables the drain path: steps defer their design accesses
-	// into breqs — appended in the tournament's serial order, so the
-	// pending batch is always a consecutive slice of the serial request
-	// sequence — and flush through Design.AccessBatch only when a response
-	// is actually needed. Every flush point just splits that sequence at a
-	// batch boundary — AccessBatch is bit-identical to serial Access by
-	// contract — so toggling this changes performance only.
-	// SetBatching(false) forces the one-at-a-time reference path.
-	batching bool
-	breqs    []dramcache.Request
-	bresps   []dramcache.Response
+	// clamp is continueClamped's scratch: per core, the events withheld
+	// from remaining while the countdown is clamped at the core's next
+	// boundary. Always all-zero outside continueClamped, so it never
+	// enters checkpoints.
+	clamp []int
 
 	// teleSpec arms epoch-sliced telemetry (SetTelemetry); tele is the
 	// run's recorder, created lazily when the measurement phase first
 	// advances so machines restored from a checkpoint — which never call
 	// BeginRun — record too. With the zero spec the dispatch in RunTo
-	// selects the untouched continuePhase loop: telemetry disabled costs
+	// selects the boundary-free continuePhase: telemetry disabled costs
 	// nothing.
 	teleSpec telemetry.Spec
 	teleEmit func(telemetry.Epoch)
 	tele     *telemetry.Recorder
-	// teleClamp is continueTelemetry's scratch: per core, the events
-	// withheld from remaining while the countdown is clamped at the core's
-	// next epoch boundary. Always all-zero outside continueTelemetry, so
-	// it never enters checkpoints.
-	teleClamp []int
 }
-
-// designBatchCap bounds the pending design batch (and its preallocated
-// response scratch): a full batch flushes early, which is always legal, so
-// the drain stays zero-alloc no matter how long a core runs uncontested.
-const designBatchCap = 64
 
 // runState tracks a full run's progress in global steps — events executed
 // across all cores in the one serial min-clock-first schedule. Because
@@ -215,10 +200,7 @@ func New(cfg Config, sources []trace.Source, design dramcache.Design, stacked, o
 	m := &Machine{cfg: cfg, l2: l2, design: design, stacked: stacked, offchip: offchip}
 	m.cores = make([]coreState, cfg.Cores)
 	m.remaining = make([]int, cfg.Cores)
-	m.teleClamp = make([]int, cfg.Cores)
-	m.batching = true
-	m.breqs = make([]dramcache.Request, 0, designBatchCap)
-	m.bresps = make([]dramcache.Response, designBatchCap)
+	m.clamp = make([]int, cfg.Cores)
 	m.leaves = 1
 	for m.leaves < cfg.Cores {
 		m.leaves *= 2
@@ -282,7 +264,7 @@ func (m *Machine) Run(accessesPerCore int) Results {
 // BeginRun starts a full run of accessesPerCore events per core without
 // executing anything. Advance it with RunTo; finish with FinishRun. The
 // schedule executed is bit-identical to Run's no matter how the global
-// step range is chunked (see continuePhase).
+// step range is chunked (see continueClamped).
 func (m *Machine) BeginRun(accessesPerCore int) {
 	if accessesPerCore < 0 {
 		accessesPerCore = 0
@@ -386,14 +368,8 @@ func (m *Machine) beginMeasurementPhase() {
 	m.run.phase = 2
 }
 
-// replay advances cores lowest-clock-first for eventsPerCore events each:
-// the next core to step is always the live core with the smallest clock,
-// ties broken toward the lowest index. The tournament tree executes
-// *exactly* that schedule — bit-identical to a linear rescan before every
-// step, which the golden determinism wall enforces — at log2(cores) node
-// updates per event. Exhausted cores (and the leaves padding the core
-// count to a power of two) sit at the +inf sentinel, which no real clock
-// reaches, so they simply never win a match.
+// replay advances cores lowest-clock-first (continueUntilPark) for
+// eventsPerCore events each.
 func (m *Machine) replay(eventsPerCore int) {
 	if eventsPerCore <= 0 {
 		return
@@ -406,121 +382,35 @@ func (m *Machine) replay(eventsPerCore int) {
 
 // continuePhase executes up to budget steps of the current phase's
 // tournament schedule, drawing the per-core demand from m.remaining, and
-// returns the steps executed. The tournament tree is a pure function of
-// the live cores' clocks (exhausted cores sit at +inf), so rebuilding it
-// here from the persisted remaining/clock state resumes the schedule at
-// exactly the step where the previous call — or a restored checkpoint —
-// left off: chunked execution is bit-identical to one uninterrupted loop.
-// Everything it touches is preallocated; the loop allocates nothing.
+// returns the steps executed. It is the clamp-and-park driver with no
+// boundaries to cut at: the only parks are cores running out of their
+// phase budget, at most one per core per phase.
 func (m *Machine) continuePhase(budget uint64) uint64 {
-	remaining := m.remaining
-	live := m.buildTree()
-	tree, leaves, shift, mask := m.tree, m.leaves, m.shift, uint64(m.leaves-1)
-	var steps uint64
-	if m.batching {
-		// Batched drain: steps append their design requests to the pending
-		// batch instead of issuing them one at a time. The tournament picks
-		// winners in the one serial min-clock-first order, so the batch is
-		// always a consecutive slice of the serial request sequence — even
-		// across interleave boundaries — and flushing it anywhere is
-		// bit-identical by AccessBatch's contract. Only a load read needs
-		// its response on the spot (the core stalls on it), so it flushes
-		// the batch it terminates inline; everything else rides along until
-		// that, capacity, or the chunk boundary below.
-		for live > 0 && steps < budget {
-			best := int(tree[1] & mask)
-			m.stepDeferred(best, remaining[best])
-			steps++
-			if remaining[best]--; remaining[best] == 0 {
-				tree[leaves+best] = ^uint64(0)
-				live--
-			} else {
-				tree[leaves+best] = m.cores[best].clock<<shift | uint64(best)
-			}
-			for n := (leaves + best) >> 1; n >= 1; n >>= 1 {
-				tree[n] = minKey(tree[2*n], tree[2*n+1])
-			}
-		}
-		m.flushDesign()
-		return steps
-	}
-	for live > 0 && steps < budget {
-		best := int(tree[1] & mask)
-		m.step(best, remaining[best])
-		steps++
-		if remaining[best]--; remaining[best] == 0 {
-			tree[leaves+best] = ^uint64(0)
-			live--
-		} else {
-			tree[leaves+best] = m.cores[best].clock<<shift | uint64(best)
-		}
-		// Replay best's matches up the tree.
-		for n := (leaves + best) >> 1; n >= 1; n >>= 1 {
-			tree[n] = minKey(tree[2*n], tree[2*n+1])
-		}
-	}
-	return steps
+	return m.continueClamped(budget, 0, nil, nil)
 }
 
 // continueTelemetry is continuePhase for a telemetry-armed measurement
-// phase: the identical tournament schedule (batched or serial step per
-// m.batching) with the sampled-replay boundary-crossing mechanics woven
-// in. Boundaries are pure per-core counter snapshots taken as each core
-// crosses them — no barrier, so the event interleaving (and therefore the
-// run's Results) is bit-identical to the plain loop. When a boundary
-// completes (every core crossed it), the pending design batch is flushed —
-// legal anywhere by AccessBatch's contract — and the machine-wide
-// statistics row is recorded: after the flush the state equals the serial
-// reference state after the crossing step, which makes the snapshot
-// independent of batching, chunking, and segmentation. Sync repositions
-// the recorder's cursors from the persisted remaining budgets, so chunked
-// and checkpoint-restored execution resumes recording exactly where the
-// schedule stands; boundaries crossed before a restored segment are
-// skipped (their cells belong to the earlier segment's recorder).
-//
-// The recording itself costs no per-step work: every live core's
-// countdown is clamped at its next epoch boundary and the unmodified
-// tournament loop runs until a core parks — reaches its clamped zero —
-// which by construction happens exactly at that core's boundary. The
-// loop stops the instant the parking step completes, so no other core
-// runs ahead of the parked core's post-boundary events and the
-// concatenated schedule is the uninterrupted one (the same chunking
-// property RunTo already rests on). The parked core's snapshot is
-// recorded, its withheld budget restored, and the loop re-enters.
+// phase: epoch boundaries are the driver's cuts. Boundaries are pure
+// per-core counter snapshots taken as each core parks on them — no
+// barrier, so the event interleaving (and therefore the run's Results) is
+// bit-identical to the plain loop. When a boundary completes (every core
+// crossed it), the machine-wide statistics row is recorded; the state then
+// is the state after the crossing step, independent of chunking and
+// segmentation. Sync repositions the recorder's cursors from the persisted
+// remaining budgets, so chunked and checkpoint-restored execution resumes
+// recording exactly where the schedule stands; boundaries crossed before a
+// restored segment are skipped (their cells belong to the earlier
+// segment's recorder). A core past its last boundary has Next == maxInt
+// and never clamps; the final bound sits at meas, so the last real park
+// coincides with natural exhaustion and records the closing epoch.
 func (m *Machine) continueTelemetry(budget uint64) uint64 {
 	rec := m.tele
 	meas := m.run.accesses - m.run.warm
 	remaining := m.remaining
 	rec.Sync(func(c int) int { return meas - remaining[c] })
-	clamp := m.teleClamp
-	var steps uint64
-	for steps < budget {
-		// Clamp live countdowns at each core's next boundary. A core past
-		// its last boundary has Next == maxInt, never clamps, and simply
-		// exhausts; the final bound sits at meas, so the last real park
-		// coincides with natural exhaustion and records the closing epoch.
-		for c, rem := range remaining {
-			if rem <= 0 {
-				continue
-			}
-			if k := rec.Next(c) - (meas - rem); k < rem {
-				clamp[c] = rem - k
-				remaining[c] = k
-			}
-		}
-		n, parked := m.continueUntilPark(budget - steps)
-		steps += n
-		for c := range remaining {
-			remaining[c] += clamp[c]
-			clamp[c] = 0
-		}
-		if parked < 0 {
-			break // budget exhausted or no live cores
-		}
-		consumed := meas - remaining[parked]
-		pc := &m.cores[parked]
-		if b, complete := rec.Cross(parked, consumed, pc.instr-pc.instr0, pc.clock-pc.clock0); complete {
-			m.flushDesign()
+	return m.continueClamped(budget, meas, rec.Next, func(c, consumed int) bool {
+		pc := &m.cores[c]
+		if b, complete := rec.Cross(c, consumed, pc.instr-pc.instr0, pc.clock-pc.clock0); complete {
 			rec.Global(b, telemetry.GlobalRow{
 				Design:  m.design.Snapshot(),
 				Stacked: m.stacked.Stats(),
@@ -528,54 +418,84 @@ func (m *Machine) continueTelemetry(budget uint64) uint64 {
 				L2:      m.l2.Stats(),
 			})
 		}
-	}
-	if m.batching {
-		m.flushDesign()
+		return true
+	})
+}
+
+// continueClamped is the one clamp-and-park driver every replay phase runs
+// through. It executes up to budget steps of the current phase's
+// tournament schedule, cutting it at per-core boundaries without
+// perturbing it, and returns the steps executed. span is the phase's
+// per-core event budget, so core c has consumed span-remaining[c] events;
+// next(c) is the consumed offset of core c's next boundary (nil: no
+// boundaries).
+//
+// The cut costs no per-step work: every live core's countdown is clamped
+// at its next boundary and the unmodified tournament loop runs until a
+// core parks — reaches its clamped zero, which by construction happens
+// exactly at that core's boundary, or its natural zero at the end of its
+// budget. The loop stops the instant the parking step completes, so no
+// other core runs ahead of the parked core's post-boundary events and the
+// concatenated schedule is the uninterrupted one (the same chunking
+// property RunTo rests on). The withheld budgets are restored,
+// park(c, consumed) records the parked core, and the loop re-enters;
+// park returning false stops the replay right there.
+func (m *Machine) continueClamped(budget uint64, span int, next func(c int) int, park func(c, consumed int) bool) uint64 {
+	remaining, clamp := m.remaining, m.clamp
+	var steps uint64
+	for steps < budget {
+		if next != nil {
+			for c, rem := range remaining {
+				if rem <= 0 {
+					continue
+				}
+				if k := next(c) - (span - rem); k < rem {
+					clamp[c] = rem - k
+					remaining[c] = k
+				}
+			}
+		}
+		n, parked := m.continueUntilPark(budget - steps)
+		steps += n
+		for c, w := range clamp {
+			remaining[c] += w
+			clamp[c] = 0
+		}
+		if parked < 0 {
+			break // budget exhausted or no live cores
+		}
+		if park != nil && !park(parked, span-remaining[parked]) {
+			break
+		}
 	}
 	return steps
 }
 
-// continueUntilPark is continuePhase with one extra exit: the moment any
-// core's countdown reaches zero the loop returns that core's index
-// (-1 when it ran out of budget or live cores instead). The telemetry
-// driver clamps countdowns at epoch boundaries, so a park is a boundary
-// arrival caught at the exact global step it happens; the loop bodies are
-// otherwise identical to continuePhase's, which is what keeps a
-// telemetry-armed run's schedule — and therefore its Results — bit-
-// identical to a plain one.
+// continueUntilPark is the replay loop: it advances cores lowest-clock-
+// first for up to budget steps and returns the steps executed together
+// with the index of the core whose countdown just reached zero (-1 when it
+// ran out of budget or live cores instead). The next core to step is
+// always the live core with the smallest clock, ties broken toward the
+// lowest index; the tournament tree executes *exactly* that schedule —
+// bit-identical to a linear rescan before every step, which the golden
+// determinism wall enforces — at log2(cores) node updates per event.
+// Exhausted cores (and the leaves padding the core count to a power of
+// two) sit at the +inf sentinel, which no real clock reaches, so they
+// simply never win a match. Every entry rebuilds the tree (buildTree), so
+// a call resumes the schedule exactly where the previous one stopped.
+// Everything it touches is preallocated; the loop allocates nothing.
 func (m *Machine) continueUntilPark(budget uint64) (uint64, int) {
 	remaining := m.remaining
 	live := m.buildTree()
 	tree, leaves, shift, mask := m.tree, m.leaves, m.shift, uint64(m.leaves-1)
 	var steps uint64
-	if m.batching {
-		for live > 0 && steps < budget {
-			best := int(tree[1] & mask)
-			m.stepDeferred(best, remaining[best])
-			steps++
-			if remaining[best]--; remaining[best] == 0 {
-				// Park: seal the leaf, settle the tree, and return from the
-				// cold branch so the hot path carries no extra checks.
-				tree[leaves+best] = ^uint64(0)
-				for n := (leaves + best) >> 1; n >= 1; n >>= 1 {
-					tree[n] = minKey(tree[2*n], tree[2*n+1])
-				}
-				m.flushDesign()
-				return steps, best
-			}
-			tree[leaves+best] = m.cores[best].clock<<shift | uint64(best)
-			for n := (leaves + best) >> 1; n >= 1; n >>= 1 {
-				tree[n] = minKey(tree[2*n], tree[2*n+1])
-			}
-		}
-		m.flushDesign()
-		return steps, -1
-	}
 	for live > 0 && steps < budget {
 		best := int(tree[1] & mask)
 		m.step(best, remaining[best])
 		steps++
 		if remaining[best]--; remaining[best] == 0 {
+			// Park: seal the leaf, settle the tree, and return from the
+			// cold branch so the hot path carries no extra checks.
 			tree[leaves+best] = ^uint64(0)
 			for n := (leaves + best) >> 1; n >= 1; n >>= 1 {
 				tree[n] = minKey(tree[2*n], tree[2*n+1])
@@ -583,6 +503,7 @@ func (m *Machine) continueUntilPark(budget uint64) (uint64, int) {
 			return steps, best
 		}
 		tree[leaves+best] = m.cores[best].clock<<shift | uint64(best)
+		// Replay best's matches up the tree.
 		for n := (leaves + best) >> 1; n >= 1; n >>= 1 {
 			tree[n] = minKey(tree[2*n], tree[2*n+1])
 		}
@@ -609,45 +530,6 @@ func (m *Machine) buildTree() int {
 		tree[n] = minKey(tree[2*n], tree[2*n+1])
 	}
 	return live
-}
-
-// deferDesign queues a design request on the pending batch, flushing first
-// if the scratch is full (an early flush just splits the serial sequence
-// at a different batch boundary, which AccessBatch's contract makes free).
-func (m *Machine) deferDesign(r dramcache.Request) {
-	if len(m.breqs) == cap(m.breqs) {
-		m.flushDesign()
-	}
-	m.breqs = append(m.breqs, r)
-}
-
-// flushDesign drives the pending batch through the design. A lone request
-// skips the batch path entirely — Access and a size-1 AccessBatch are
-// bit-identical, and most drains end with one or two requests pending.
-func (m *Machine) flushDesign() {
-	switch n := len(m.breqs); n {
-	case 0:
-	case 1:
-		m.design.Access(m.breqs[0])
-		m.breqs = m.breqs[:0]
-	default:
-		m.design.AccessBatch(m.breqs, m.bresps[:n])
-		m.breqs = m.breqs[:0]
-	}
-}
-
-// flushDesignTail flushes the pending batch and returns the response of
-// its final request (the load read the draining core is stalled on).
-func (m *Machine) flushDesignTail() dramcache.Response {
-	n := len(m.breqs)
-	if n == 1 {
-		r := m.design.Access(m.breqs[0])
-		m.breqs = m.breqs[:0]
-		return r
-	}
-	m.design.AccessBatch(m.breqs, m.bresps[:n])
-	m.breqs = m.breqs[:0]
-	return m.bresps[n-1]
 }
 
 // minKey plays one tournament match on packed clock<<shift|core keys: the
@@ -709,14 +591,15 @@ type Interval struct {
 // ReplaySampled replays up to eventsPerCore events per core as ONE
 // continuous min-clock-first schedule while measuring windows along the
 // way: window w spans each core's events [starts[w], starts[w]+length),
-// offsets relative to this call. Boundaries are pure per-core counter
-// snapshots taken as each core crosses them — the schedule is exactly
-// Replay's, with no synchronization barrier at any boundary. That is the
-// load-bearing property: pausing the replay at window edges (a separate
-// Replay call per window) re-synchronizes the cores' event counts, which
-// reorders how the shared L2 and DRAM reservations resolve and shifts
-// measured UIPC by whole percents per barrier; a sampled run must
-// replay the same event interleaving the full run would.
+// offsets relative to this call. Window edges are clamp-and-park cuts
+// (continueClamped): pure per-core counter snapshots taken as each core
+// parks on them — the schedule is exactly Replay's, with no
+// synchronization barrier at any boundary. That is the load-bearing
+// property: pausing the replay at window edges (a separate Replay call per
+// window) re-synchronizes the cores' event counts, which reorders how the
+// shared L2 and DRAM reservations resolve and shifts measured UIPC by
+// whole percents per barrier; a sampled run must replay the same event
+// interleaving the full run would.
 //
 // After the last core finishes window w, measured(w, iv) is invoked; if
 // it returns false the replay stops right there (the adaptive early
@@ -749,40 +632,35 @@ func (m *Machine) ReplaySampled(eventsPerCore int, starts []int, length int, mea
 	for i := range remaining {
 		remaining[i] = eventsPerCore
 	}
-	live := m.buildTree()
-	tree, leaves, shift, mask := m.tree, m.leaves, m.shift, uint64(m.leaves-1)
-
 	// Boundary offset 0 (a window starting immediately) is crossed by
 	// every core before any event runs.
 	for c := range m.cores {
 		m.crossBoundaries(c, 0, bounds, cursor, snaps)
 	}
 
+	next := func(c int) int {
+		if cursor[c] < len(bounds) {
+			return bounds[cursor[c]]
+		}
+		return math.MaxInt
+	}
+	m.continueClamped(^uint64(0), eventsPerCore, next, func(c, consumed int) bool {
+		w, done := m.crossBoundaries(c, consumed, bounds, cursor, snaps)
+		if !done {
+			return true
+		}
+		if endLeft[w]--; endLeft[w] > 0 {
+			return true
+		}
+		// Only now — once the last core has crossed the window's end —
+		// are all of the window's snapshot rows written.
+		return measured(w, windowOf(snaps[2*w*cores:], cores))
+	})
+
 	consumedMax := 0
-	for live > 0 {
-		best := int(tree[1] & mask)
-		m.step(best, remaining[best])
-		consumed := eventsPerCore - remaining[best] + 1
-		if consumed > consumedMax {
+	for _, rem := range remaining {
+		if consumed := eventsPerCore - rem; consumed > consumedMax {
 			consumedMax = consumed
-		}
-		if w, done := m.crossBoundaries(best, consumed, bounds, cursor, snaps); done {
-			if endLeft[w]--; endLeft[w] == 0 {
-				// Only now — once the last core has crossed the window's
-				// end — are all of the window's snapshot rows written.
-				if !measured(w, windowOf(snaps[2*w*cores:], cores)) {
-					return consumedMax
-				}
-			}
-		}
-		if remaining[best]--; remaining[best] == 0 {
-			tree[leaves+best] = ^uint64(0)
-			live--
-		} else {
-			tree[leaves+best] = m.cores[best].clock<<shift | uint64(best)
-		}
-		for n := (leaves + best) >> 1; n >= 1; n >>= 1 {
-			tree[n] = minKey(tree[2*n], tree[2*n+1])
 		}
 	}
 	return consumedMax
@@ -872,101 +750,6 @@ func (m *Machine) step(i, budget int) {
 		c.stall += stall
 	}
 }
-
-// stepDeferred is step with design accesses deferred onto the pending
-// batch instead of issued one at a time. L1 and L2 lookups still run in
-// step order — they decide whether design requests exist at all — but the
-// design only sees requests at flush points. Writes and store fetches need
-// no response (stores retire through the write buffer; their DoneAt is
-// never read), so they stay queued — across interleave boundaries, since
-// deferral in step order keeps the batch a consecutive slice of the serial
-// sequence no matter which cores contributed; a load read is the one
-// request whose response the core must stall on, so it flushes the batch
-// it terminates.
-func (m *Machine) stepDeferred(i, budget int) {
-	c := &m.cores[i]
-	ev := c.nextEvent(budget)
-	c.clock += uint64(ev.Gap)
-	c.instr += uint64(ev.Gap) + 1
-
-	block := ev.Addr.Block()
-	if r := c.l1.Access(block, ev.Write); r.Hit {
-		return // L1 hits are pipelined away.
-	} else if r.Writeback {
-		m.l2WriteDeferred(r.WritebackBlock, c.clock, i)
-	}
-
-	// L1 miss: look up the shared L2.
-	at := c.clock + c.l1.Latency()
-	l2r := m.l2.Access(block, false)
-	var doneAt uint64
-	if l2r.Hit {
-		doneAt = at + m.l2.Latency()
-	} else {
-		if l2r.Writeback {
-			m.deferDesign(dramcache.Request{
-				Addr:  mem.BlockAddr(l2r.WritebackBlock),
-				Core:  i,
-				Write: true,
-				At:    at + m.l2.Latency(),
-			})
-		}
-		req := dramcache.Request{
-			Addr: ev.Addr,
-			PC:   ev.PC,
-			Core: i,
-			At:   at + m.l2.Latency(),
-		}
-		if ev.Write {
-			m.deferDesign(req)
-			return // Store miss: the fetch's completion time is never read.
-		}
-		var resp dramcache.Response
-		if len(m.breqs) == 0 {
-			// Nothing pending: the lone read goes straight through — a
-			// size-1 batch and Access are the same request sequence.
-			resp = m.design.Access(req)
-		} else {
-			m.deferDesign(req)
-			resp = m.flushDesignTail()
-		}
-		doneAt = resp.DoneAt
-		if doneAt > at+m.l2.Latency() {
-			c.latSum += doneAt - (at + m.l2.Latency())
-			c.latN++
-		}
-	}
-
-	if ev.Write {
-		return // Stores retire through the write buffer.
-	}
-	lat := doneAt - c.clock
-	if lat > m.cfg.HideCycles {
-		stall := (lat - m.cfg.HideCycles) / m.cfg.MLP
-		c.clock += stall
-		c.stall += stall
-	}
-}
-
-// l2WriteDeferred is l2Write with the design-bound victim deferred onto
-// the pending batch.
-func (m *Machine) l2WriteDeferred(block uint64, at uint64, core int) {
-	r := m.l2.Access(block, true)
-	if r.Writeback {
-		m.deferDesign(dramcache.Request{
-			Addr:  mem.BlockAddr(r.WritebackBlock),
-			Core:  core,
-			Write: true,
-			At:    at + m.l2.Latency(),
-		})
-	}
-}
-
-// SetBatching toggles the batched drain path (on by default). Off forces
-// the serial one-Access-per-request reference schedule; results are
-// bit-identical either way, so the switch exists for A/B verification and
-// for isolating the design hot path in profiles.
-func (m *Machine) SetBatching(on bool) { m.batching = on }
 
 // l2Write absorbs an L1 dirty victim into the L2, forwarding any L2 victim
 // to the DRAM cache.
