@@ -26,6 +26,11 @@ func (c Config) Validate() error {
 	if c.SizeBytes <= 0 || c.Ways <= 0 {
 		return fmt.Errorf("cache %q: size and ways must be positive", c.Name)
 	}
+	// fill, lru and order are uint8: a 256th way would wrap the fill
+	// count and repeat LRU ranks.
+	if c.Ways > 255 {
+		return fmt.Errorf("cache %q: %d ways above the 255-way limit", c.Name, c.Ways)
+	}
 	blocks := c.SizeBytes / 64
 	if blocks*64 != c.SizeBytes || blocks%c.Ways != 0 {
 		return fmt.Errorf("cache %q: size %d not divisible into %d-way sets of 64B blocks", c.Name, c.SizeBytes, c.Ways)

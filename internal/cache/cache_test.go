@@ -25,6 +25,7 @@ func TestConfigValidate(t *testing.T) {
 	good := []Config{
 		{Name: "l1", SizeBytes: 64 << 10, Ways: 8, Latency: 2},
 		{Name: "l2", SizeBytes: 4 << 20, Ways: 16, Latency: 13},
+		{Name: "255way", SizeBytes: 255 * 64, Ways: 255},
 	}
 	for _, cfg := range good {
 		if err := cfg.Validate(); err != nil {
@@ -36,6 +37,8 @@ func TestConfigValidate(t *testing.T) {
 		{Name: "negways", SizeBytes: 512, Ways: -1},
 		{Name: "notpow2sets", SizeBytes: 3 * 64, Ways: 1},
 		{Name: "indivisible", SizeBytes: 640, Ways: 3},
+		{Name: "256way", SizeBytes: 256 * 64, Ways: 256},
+		{Name: "fullyassoc64KB", SizeBytes: 64 << 10, Ways: 1024},
 	}
 	for _, cfg := range bad {
 		if err := cfg.Validate(); err == nil {

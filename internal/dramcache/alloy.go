@@ -25,21 +25,31 @@ type Alloy struct {
 	offchip *dram.Controller
 	mp      *predictor.MissPredictor
 
-	// tads packs (blockNumber << 2 | state) per direct-mapped slot.
-	tads    []uint64
+	// tads packs tag<<2 | state per direct-mapped slot, with
+	// tag = block / numTADs: the slot fixes the rest of the block number,
+	// so the 30 tag bits name every block below numTADs·2^30.
+	tads    []uint32
 	numTADs uint64
 
 	st baseStats
 }
 
 const (
-	tadInvalid uint64 = iota
+	tadInvalid uint32 = iota
 	tadClean
 	tadDirty
 )
 
+// maxTADTag bounds the tag a TAD entry holds beside its 2-bit state.
+const maxTADTag = 1<<30 - 1
+
 // NewAlloy builds an Alloy Cache with the given data capacity over the two
 // DRAM parts. cores sizes the per-core miss-predictor tables.
+//
+// Each TAD keeps a 30-bit tag, which covers every block below
+// numTADs·2^30: at least 7.7 TB of address space, since a cache has at
+// least one 112-TAD row. Every workload and capture the simulator accepts
+// stays below trace.MaxWorkingSetBytes (4 TB), so no tag can alias.
 func NewAlloy(capacityBytes uint64, cores int, stacked, offchip *dram.Controller) (*Alloy, error) {
 	rows := capacityBytes / mem.RowBytes
 	if rows == 0 {
@@ -49,7 +59,7 @@ func NewAlloy(capacityBytes uint64, cores int, stacked, offchip *dram.Controller
 		stacked: stacked,
 		offchip: offchip,
 		mp:      predictor.NewMissPredictor(cores, 256),
-		tads:    make([]uint64, rows*TADsPerRow),
+		tads:    make([]uint32, rows*TADsPerRow),
 		numTADs: rows * TADsPerRow,
 	}, nil
 }
@@ -60,8 +70,11 @@ func (d *Alloy) Name() string { return "alloy" }
 // MissPredictor exposes the MAP-I predictor for Table V reporting.
 func (d *Alloy) MissPredictor() *predictor.MissPredictor { return d.mp }
 
-// slot returns the direct-mapped TAD index for a block number.
-func (d *Alloy) slot(block uint64) uint64 { return block % d.numTADs }
+// tagSlot splits a block number into its TAD tag and direct-mapped slot
+// with one division.
+func (d *Alloy) tagSlot(block uint64) (tag uint32, slot uint64) {
+	return uint32(block / d.numTADs), block % d.numTADs
+}
 
 // rowOf maps a TAD slot to its stacked-DRAM location.
 func (d *Alloy) rowOf(slot uint64) (ch, bank int, row uint64) {
@@ -71,14 +84,13 @@ func (d *Alloy) rowOf(slot uint64) (ch, bank int, row uint64) {
 // Access implements Design. The slot and its stacked-row mapping are pure
 // address work, computed once up front and shared by every path below.
 func (d *Alloy) Access(r Request) Response {
-	block := r.Addr.Block()
-	slot := d.slot(block)
+	tag, slot := d.tagSlot(r.Addr.Block())
 	ch, bank, row := d.rowOf(slot)
 	entry := d.tads[slot]
-	present := entry>>2 == block && entry&3 != tadInvalid
+	present := entry>>2 == tag && entry&3 != tadInvalid
 
 	if r.Write {
-		return d.write(r, block, slot, present, ch, bank, row)
+		return d.write(r, tag, slot, present, ch, bank, row)
 	}
 	d.st.reads++
 
@@ -113,29 +125,29 @@ func (d *Alloy) Access(r Request) Response {
 	d.st.offReadBytes += mem.BlockSize
 	// The fill is charged at the demand timestamp; see Footprint.Access
 	// for why future-dated background reservations would be wrong.
-	d.fill(block, slot, probeAt, false, ch, bank, row)
+	d.fill(tag, slot, probeAt, false, ch, bank, row)
 	return Response{DoneAt: off.Done, Hit: false}
 }
 
 // write absorbs an L2 dirty writeback. The full block arrives with the
 // request, so allocation needs no off-chip fetch; a conflicting dirty
 // victim is written back.
-func (d *Alloy) write(r Request, block, slot uint64, present bool, ch, bank int, row uint64) Response {
+func (d *Alloy) write(r Request, tag uint32, slot uint64, present bool, ch, bank int, row uint64) Response {
 	d.st.writes++
 	res := d.stacked.Do(dram.Request{Channel: ch, Bank: bank, Row: row, Bytes: tadBytes, Write: true, At: r.At})
 	if !present {
-		d.fill(block, slot, r.At, true, ch, bank, row)
+		d.fill(tag, slot, r.At, true, ch, bank, row)
 	} else {
-		d.tads[slot] = block<<2 | tadDirty
+		d.tads[slot] = tag<<2 | tadDirty
 	}
 	return Response{DoneAt: res.Done, Hit: present}
 }
 
-// fill installs block into slot at cycle at (off the critical path),
-// evicting and writing back any dirty conflicting TAD.
-func (d *Alloy) fill(block, slot uint64, at uint64, dirty bool, ch, bank int, row uint64) {
+// fill installs the block with this tag into slot at cycle at (off the
+// critical path), evicting and writing back any dirty conflicting TAD.
+func (d *Alloy) fill(tag uint32, slot uint64, at uint64, dirty bool, ch, bank int, row uint64) {
 	if old := d.tads[slot]; old&3 == tadDirty {
-		victim := old >> 2
+		victim := uint64(old>>2)*d.numTADs + slot
 		d.offchip.Access(uint64(mem.BlockAddr(victim)), at, mem.BlockSize, true)
 		d.st.offWriteBytes += mem.BlockSize
 	}
@@ -143,7 +155,7 @@ func (d *Alloy) fill(block, slot uint64, at uint64, dirty bool, ch, bank int, ro
 	if dirty {
 		state = tadDirty
 	}
-	d.tads[slot] = block<<2 | state
+	d.tads[slot] = tag<<2 | state
 	if !dirty {
 		// The demand fill writes the TAD into the stacked row.
 		d.stacked.Do(dram.Request{Channel: ch, Bank: bank, Row: row, Bytes: tadBytes, Write: true, At: at})
@@ -152,8 +164,9 @@ func (d *Alloy) fill(block, slot uint64, at uint64, dirty bool, ch, bank int, ro
 
 // Contains reports (for tests) whether the block is cached.
 func (d *Alloy) Contains(block uint64) bool {
-	e := d.tads[d.slot(block)]
-	return e>>2 == block && e&3 != tadInvalid
+	tag, slot := d.tagSlot(block)
+	e := d.tads[slot]
+	return e>>2 == tag && e&3 != tadInvalid
 }
 
 // Snapshot implements Design.

@@ -1,10 +1,14 @@
 package dramcache
 
 import (
+	"bytes"
+	"encoding/binary"
 	"testing"
 
+	"unisoncache/internal/checkpoint"
 	"unisoncache/internal/dram"
 	"unisoncache/internal/mem"
+	"unisoncache/internal/trace"
 )
 
 func newAlloy(t *testing.T, capacity uint64) (*Alloy, *dram.Controller, *dram.Controller) {
@@ -171,5 +175,127 @@ func TestAlloyCapacityScaling(t *testing.T) {
 	large, _, _ := newAlloy(t, 1<<24)
 	if small.numTADs*16 != large.numTADs {
 		t.Errorf("TAD count not linear: %d vs %d", small.numTADs, large.numTADs)
+	}
+}
+
+// TestAlloyTagCoversAcceptedInput: the smallest cache (one row of TADs)
+// still names every block below trace.MaxWorkingSetBytes with its 30-bit
+// tag, so no accepted workload or capture can alias two blocks.
+func TestAlloyTagCoversAcceptedInput(t *testing.T) {
+	if maxBlock := uint64(trace.MaxWorkingSetBytes/mem.BlockSize - 1); maxBlock/TADsPerRow > maxTADTag {
+		t.Errorf("block %d of a one-row cache needs tag %d, above %d", maxBlock, maxBlock/TADsPerRow, maxTADTag)
+	}
+}
+
+// TestAlloyDirtyVictimAddress: a dirty TAD evicted by a conflicting fill is
+// written back to its own block, rebuilt from the stored tag and the slot,
+// at both ends of the slot range and at the largest tag, by a read miss
+// and by a writeback miss alike.
+func TestAlloyDirtyVictimAddress(t *testing.T) {
+	numTADs := uint64(1<<20) / mem.RowBytes * TADsPerRow
+	cases := []struct {
+		name         string
+		victim, next uint64
+	}{
+		{"slot 0", 3 * numTADs, 5 * numTADs},
+		{"last slot", 2*numTADs + numTADs - 1, numTADs - 1},
+		{"largest tag", maxTADTag*numTADs + 77, 77},
+	}
+	for _, c := range cases {
+		for _, write := range []bool{false, true} {
+			a, _, o := newAlloy(t, 1<<20)
+			victim, next := uint64(mem.BlockAddr(c.victim)), uint64(mem.BlockAddr(c.next))
+			vch, vbank, vrow := o.MapAddr(victim)
+			if nch, nbank, nrow := o.MapAddr(next); nch == vch && nbank == vbank && nrow == vrow {
+				t.Fatalf("%s: victim and conflicting block share an off-chip row", c.name)
+			}
+			a.Access(Request{Addr: mem.Addr(victim), Write: true, At: 0})
+			before := o.Stats().BytesWritten
+			a.Access(Request{Addr: mem.Addr(next), Write: write, At: 1000})
+			if got := o.Stats().BytesWritten - before; got != mem.BlockSize {
+				t.Errorf("%s (write=%v): eviction wrote %d off-chip bytes, want 64", c.name, write, got)
+			}
+			// The writeback is the last off-chip request and left its row
+			// open: a read of the victim's address must hit that row.
+			if !o.Access(victim, 1<<20, mem.BlockSize, false).RowHit {
+				t.Errorf("%s (write=%v): writeback did not go to the victim's row", c.name, write)
+			}
+			if a.Contains(c.victim) || !a.Contains(c.next) {
+				t.Errorf("%s (write=%v): slot holds the wrong block", c.name, write)
+			}
+		}
+	}
+}
+
+// alloyWords returns the TAD words of a's snapshot and their byte offset.
+func alloyWords(t *testing.T, a *Alloy) (blob []byte, off int) {
+	t.Helper()
+	w := checkpoint.NewWriter()
+	a.SaveState(w)
+	hdr := checkpoint.NewWriter()
+	hdr.Section("alloy")
+	hdr.U64(a.numTADs)
+	return w.Bytes(), len(hdr.Bytes())
+}
+
+// TestAlloyCheckpointWords: the snapshot holds the full-block word
+// block<<2 | state per slot, 0 for an empty slot, whatever the live table
+// packs; restoring it rebuilds the same cache and the same bytes.
+func TestAlloyCheckpointWords(t *testing.T) {
+	a, _, _ := newAlloy(t, 1<<20)
+	n := a.numTADs
+	clean, dirty, top := 2*n, 4*n+n-1, maxTADTag*n+9
+	a.Access(Request{Addr: mem.BlockAddr(clean), At: 0})
+	a.Access(Request{Addr: mem.BlockAddr(dirty), Write: true, At: 100})
+	a.Access(Request{Addr: mem.BlockAddr(top), Write: true, At: 200})
+	blob, off := alloyWords(t, a)
+	word := func(slot uint64) uint64 { return binary.LittleEndian.Uint64(blob[off+8*int(slot):]) }
+	for _, c := range []struct{ slot, want uint64 }{
+		{0, clean<<2 | uint64(tadClean)},
+		{n - 1, dirty<<2 | uint64(tadDirty)},
+		{9, top<<2 | uint64(tadDirty)},
+		{1, 0},
+	} {
+		if got := word(c.slot); got != c.want {
+			t.Errorf("slot %d: word %#x, want %#x", c.slot, got, c.want)
+		}
+	}
+
+	b, _, _ := newAlloy(t, 1<<20)
+	if err := b.LoadState(checkpoint.NewReader(blob)); err != nil {
+		t.Fatal(err)
+	}
+	for _, blk := range []uint64{clean, dirty, top} {
+		if !b.Contains(blk) {
+			t.Errorf("block %d lost in the round trip", blk)
+		}
+	}
+	if again, _ := alloyWords(t, b); !bytes.Equal(again, blob) {
+		t.Error("restored cache saves different bytes")
+	}
+}
+
+// TestAlloyLoadStateRejectsUnpackableWords: a word the live table cannot
+// hold is an error, not a silently aliased TAD.
+func TestAlloyLoadStateRejectsUnpackableWords(t *testing.T) {
+	a, _, _ := newAlloy(t, 1<<20)
+	n := a.numTADs
+	cases := []struct {
+		name string
+		slot uint64
+		word uint64
+	}{
+		{"nonzero word, invalid state", 5, (n+5)<<2 | uint64(tadInvalid)},
+		{"undefined state", 5, (n+5)<<2 | 3},
+		{"block maps to another slot", 5, (n+6)<<2 | uint64(tadClean)},
+		{"tag beyond 30 bits", 5, ((maxTADTag+1)*n+5)<<2 | uint64(tadClean)},
+	}
+	for _, c := range cases {
+		blob, off := alloyWords(t, a)
+		binary.LittleEndian.PutUint64(blob[off+8*int(c.slot):], c.word)
+		b, _, _ := newAlloy(t, 1<<20)
+		if err := b.LoadState(checkpoint.NewReader(blob)); err == nil {
+			t.Errorf("%s: word %#x accepted", c.name, c.word)
+		}
 	}
 }

@@ -74,18 +74,40 @@ func (t *PageTable) LoadState(r *checkpoint.Reader) error {
 	return r.Err()
 }
 
-// SaveState implements Design.
+// SaveState implements Design. Each slot is written as the full-block word
+// block<<2 | state, 0 for an empty slot, so snapshots do not depend on how
+// the live table packs its tags.
 func (d *Alloy) SaveState(w *checkpoint.Writer) {
 	w.Section("alloy")
-	w.U64Slice(d.tads)
+	w.U64(uint64(len(d.tads)))
+	for slot, e := range d.tads {
+		var word uint64
+		if e != 0 {
+			word = (uint64(e>>2)*d.numTADs+uint64(slot))<<2 | uint64(e&3)
+		}
+		w.U64(word)
+	}
 	d.mp.SaveState(w)
 	d.st.saveState(w)
 }
 
-// LoadState implements Design.
+// LoadState implements Design. It rejects a word the live table cannot
+// hold: a nonzero word without a valid state, a block that does not map to
+// its slot, or a tag wider than 30 bits.
 func (d *Alloy) LoadState(r *checkpoint.Reader) error {
 	r.Section("alloy")
-	r.U64SliceInto(d.tads)
+	if n := r.U64(); r.Err() == nil && n != uint64(len(d.tads)) {
+		return fmt.Errorf("dramcache: snapshot has %d TADs, alloy has %d", n, len(d.tads))
+	}
+	for slot := range d.tads {
+		word := r.U64()
+		block, state := word>>2, uint32(word&3)
+		tag := block / d.numTADs
+		if word != 0 && (state == tadInvalid || state > tadDirty || block-tag*d.numTADs != uint64(slot) || tag > maxTADTag) {
+			return fmt.Errorf("dramcache: alloy slot %d: snapshot word %#x is not a valid TAD", slot, word)
+		}
+		d.tads[slot] = uint32(tag)<<2 | state
+	}
 	if err := d.mp.LoadState(r); err != nil {
 		return err
 	}

@@ -35,7 +35,8 @@ import (
 // Deltas start from zero. Addresses are block-aligned (the generator only
 // emits block-granular references), so encoding block numbers is lossless.
 // Consecutive events mostly walk adjacent blocks under the same PC, so the
-// common event costs three bytes.
+// common event costs three bytes. ReadTrace rejects a capture holding an
+// address at or above MaxWorkingSetBytes.
 const (
 	// FileVersion is the current .utrace format version.
 	FileVersion = 1
@@ -259,6 +260,9 @@ func (s *ReplaySource) next() (Event, error) {
 	block := int64(s.prevBlock) + blockDelta
 	if block < 0 {
 		return Event{}, fmt.Errorf("negative block number")
+	}
+	if uint64(block) >= MaxWorkingSetBytes/mem.BlockSize {
+		return Event{}, fmt.Errorf("block %d at or above the MaxWorkingSetBytes limit", block)
 	}
 	s.prevBlock = uint64(block)
 	s.prevPC = uint64(int64(s.prevPC) + pcDelta)

@@ -3,6 +3,8 @@ package trace
 import (
 	"bytes"
 	"testing"
+
+	"unisoncache/internal/mem"
 )
 
 func captureStreams(t *testing.T, workload string, seed uint64, cores int) []Source {
@@ -115,5 +117,52 @@ func TestReadTraceRejectsCorruption(t *testing.T) {
 	wrongVersion[4] = 99 // the version uvarint directly follows the magic
 	if _, _, err := ReadTrace(bytes.NewReader(wrongVersion)); err == nil {
 		t.Error("unsupported version accepted")
+	}
+}
+
+// listSource replays a fixed list of events.
+type listSource struct {
+	evs []Event
+	i   int
+}
+
+func (s *listSource) Next() Event {
+	ev := s.evs[s.i]
+	s.i++
+	return ev
+}
+
+// TestReadTraceRejectsAddressAboveLimit: a capture holding an address at
+// or above MaxWorkingSetBytes fails ReadTrace's validation pass, so it can
+// never reach a design mid-replay; the last block below the limit passes.
+func TestReadTraceRejectsAddressAboveLimit(t *testing.T) {
+	for _, c := range []struct {
+		addr mem.Addr
+		ok   bool
+	}{
+		{MaxWorkingSetBytes - mem.BlockSize, true},
+		{MaxWorkingSetBytes, false},
+		{1 << 62, false},
+	} {
+		src := &listSource{evs: []Event{{Gap: 3, Addr: 64, PC: 5}, {Gap: 1, Addr: c.addr, PC: 9, Write: true}}}
+		var buf bytes.Buffer
+		h := FileHeader{Profile: "limit", Seed: 1, ScaleDivisor: 1, Cores: 1, EventsPerCore: 2}
+		if err := WriteTrace(&buf, h, []Source{src}); err != nil {
+			t.Fatal(err)
+		}
+		_, sources, err := ReadTrace(&buf)
+		if !c.ok {
+			if err == nil {
+				t.Errorf("address %#x accepted", uint64(c.addr))
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("address %#x rejected: %v", uint64(c.addr), err)
+		}
+		sources[0].Next()
+		if ev := sources[0].Next(); ev.Addr != c.addr {
+			t.Errorf("replayed address %#x, want %#x", uint64(ev.Addr), uint64(c.addr))
+		}
 	}
 }

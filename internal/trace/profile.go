@@ -10,6 +10,11 @@ const RegionBlocks = 32
 // RegionBytes is the region size in bytes.
 const RegionBytes = RegionBlocks * 64
 
+// MaxWorkingSetBytes bounds a profile's working set and every address a
+// .utrace capture may hold: 4 TB. Below it, every block number fits the
+// 30-bit tag an Alloy TAD keeps (see dramcache.NewAlloy).
+const MaxWorkingSetBytes = 4 << 40
+
 // Profile is the statistical description of one workload. The six presets
 // below substitute for the CloudSuite and TPC-H traces of §IV-D; their
 // parameters are tuned so the per-workload orderings the paper reports
@@ -61,6 +66,9 @@ type Profile struct {
 func (p *Profile) Validate() error {
 	if p.WorkingSetBytes < RegionBytes {
 		return fmt.Errorf("trace: %s: working set below one region", p.Name)
+	}
+	if p.WorkingSetBytes > MaxWorkingSetBytes {
+		return fmt.Errorf("trace: %s: working set of %d bytes above the %d-byte limit", p.Name, p.WorkingSetBytes, uint64(MaxWorkingSetBytes))
 	}
 	if p.PCs <= 0 {
 		return fmt.Errorf("trace: %s: need at least one PC", p.Name)

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestRNGDeterminism(t *testing.T) {
@@ -192,11 +193,25 @@ func TestProfileValidateRejects(t *testing.T) {
 		{Name: "dens", WorkingSetBytes: 1 << 20, PCs: 1, DensityMin: 0.6, DensityMax: 0.5},
 		{Name: "noise", WorkingSetBytes: 1 << 20, PCs: 1, DensityMin: 0.1, DensityMax: 0.5, PatternNoise: 0.9},
 		{Name: "wf", WorkingSetBytes: 1 << 20, PCs: 1, DensityMin: 0.1, DensityMax: 0.5, WriteFrac: 1.5},
+		{Name: "huge", WorkingSetBytes: MaxWorkingSetBytes + RegionBytes, PCs: 1, DensityMin: 0.1, DensityMax: 0.5},
 	}
 	for _, p := range bad {
 		if err := p.Validate(); err == nil {
 			t.Errorf("%s: accepted", p.Name)
 		}
+	}
+	limit := &Profile{Name: "limit", WorkingSetBytes: MaxWorkingSetBytes, PCs: 1, DensityMin: 0.1, DensityMax: 0.5}
+	if err := limit.Validate(); err != nil {
+		t.Errorf("working set at the limit rejected: %v", err)
+	}
+}
+
+// TestEventSize pins the field order that packs Write beside Gap: every
+// core's prefetch slab and visit buffer holds Events, so the 8 bytes per
+// event a looser order pads in show up in every run's heap.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(Event{}); got != 24 {
+		t.Errorf("Event is %d bytes, want 24", got)
 	}
 }
 

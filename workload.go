@@ -20,7 +20,8 @@ type Profile struct {
 	// WorkingSetBytes is the touched data footprint; regions are drawn
 	// from a population of WorkingSetBytes / 2 KB. The proportional-scaling
 	// divisor (Run.ScaleDivisor) divides it at execution time, so declare
-	// the full-scale footprint here.
+	// the full-scale footprint here. RegisterWorkload rejects more than
+	// 4 TB (trace.MaxWorkingSetBytes).
 	WorkingSetBytes uint64
 	// ZipfTheta is the region-popularity skew (0 uniform, ~1 very hot).
 	ZipfTheta float64

@@ -70,6 +70,13 @@ func TestRegisterWorkloadRejectsBadInput(t *testing.T) {
 	if _, ok := uc.WorkloadProfile("test-bad"); ok {
 		t.Error("rejected profile was registered anyway")
 	}
+	// Past trace.MaxWorkingSetBytes (4 TB) a ScaleDivisor-1 run on a
+	// one-row Alloy cache could overflow the 30-bit TAD tag.
+	huge := kvProfile()
+	huge.WorkingSetBytes = 8 << 40
+	if err := uc.RegisterWorkload("test-huge", huge); err == nil {
+		t.Error("working set above 4 TB accepted")
+	}
 }
 
 func TestWorkloadsListingStable(t *testing.T) {
