@@ -6,16 +6,16 @@ import (
 )
 
 // machineBudgetMB caps the megabytes (10^6 bytes) one 1 GB, 16-core tpch
-// machine build allocates, per design: the measured figure plus 5%. The big per-run
-// tables (Alloy's TAD array, the page tables, the SRAM arrays, every
-// core's event slab and visit buffer) set these figures and the host's
-// heap peak with them, so a table that grows past its budget fails here
-// before it shows up in a benchmark.
+// machine build allocates, per design: the measured figure plus 5%. The
+// big per-run tables (Alloy's TAD array, the page tables, the SRAM
+// arrays, every core's event slab) set these figures and the host's heap
+// peak with them, so a table that grows past its budget fails here before
+// it shows up in a benchmark.
 var machineBudgetMB = map[DesignKind]float64{
-	DesignNone:      0.74 * 1.05,
-	DesignAlloy:     2.58 * 1.05,
-	DesignFootprint: 1.61 * 1.05,
-	DesignUnison:    2.29 * 1.05,
+	DesignNone:      0.347 * 1.05,
+	DesignAlloy:     2.186 * 1.05,
+	DesignFootprint: 1.222 * 1.05,
+	DesignUnison:    1.898 * 1.05,
 }
 
 // TestMachineFootprint is the host-memory wall: it counts the bytes

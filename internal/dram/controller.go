@@ -73,6 +73,9 @@ type Controller struct {
 	mapShifts                      bool
 	perShift                       int // log2(2*BusBytes), -1 when not a power of two
 	toCPUTab                       []uint64
+	// rankOf maps a channel-local bank index to its rank (banks are
+	// rank-major), so an activation indexes instead of dividing.
+	rankOf []int
 
 	stats Stats
 }
@@ -98,6 +101,10 @@ func NewController(cfg Config) (*Controller, error) {
 		for b := range c.ch[i].banks {
 			c.ch[i].banks[b].openRow = -1
 		}
+	}
+	c.rankOf = make([]int, cfg.Org.Ranks*cfg.Org.Banks)
+	for b := range c.rankOf {
+		c.rankOf[b] = b / cfg.Org.Banks
 	}
 	t := cfg.Timing
 	c.tCAS = cfg.ToCPU(t.CAS)
@@ -210,7 +217,7 @@ func (c *Controller) Do(r Request) Result {
 		}
 		// ACT the target row, honoring tRC (same bank) and the rank's
 		// tRRD/tFAW windows.
-		rk := &ch.ranks[r.Bank/c.cfg.Org.Banks]
+		rk := &ch.ranks[c.rankOf[r.Bank]]
 		actAt := maxU(now, bk.nextActAt)
 		actAt = maxU(actAt, rk.lastActAt+c.tRRD)
 		if faw := rk.actWindow[rk.actIdx]; faw > 0 {

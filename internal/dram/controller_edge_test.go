@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -227,6 +228,39 @@ func TestLog2Of(t *testing.T) {
 		s, ok := log2of(tc.v)
 		if s != tc.s || ok != tc.ok {
 			t.Errorf("log2of(%d) = (%d,%v), want (%d,%v) %s", tc.v, s, ok, tc.s, tc.ok, tc.note)
+		}
+	}
+}
+
+// TestRankOfMatchesDivision pins the precomputed bank-to-rank table to the
+// rank-major division it replaces, for power-of-two organizations and odd
+// ones, and checks that an activation lands in that rank's tRRD/tFAW
+// history and no other.
+func TestRankOfMatchesDivision(t *testing.T) {
+	stacked, offchip := StackedConfig(), OffchipConfig()
+	odd := func(ranks, banks int) Config {
+		cfg := StackedConfig()
+		cfg.Org.Ranks, cfg.Org.Banks = ranks, banks
+		return cfg
+	}
+	for _, cfg := range []Config{stacked, offchip, odd(2, 4), odd(2, 3), odd(3, 5), odd(1, 7), odd(5, 1)} {
+		name := fmt.Sprintf("%s %dx%d", cfg.Name, cfg.Org.Ranks, cfg.Org.Banks)
+		c := mustController(t, cfg)
+		if len(c.rankOf) != cfg.Org.Ranks*cfg.Org.Banks {
+			t.Fatalf("%s: rank table has %d entries, want %d", name, len(c.rankOf), cfg.Org.Ranks*cfg.Org.Banks)
+		}
+		for b := range c.rankOf {
+			want := b / cfg.Org.Banks
+			if c.rankOf[b] != want {
+				t.Errorf("%s: bank %d maps to rank %d, want %d", name, b, c.rankOf[b], want)
+			}
+			fresh := mustController(t, cfg)
+			fresh.Do(Request{Channel: 0, Bank: b, Row: 1, Bytes: 64, At: 1000})
+			for r, rk := range fresh.ch[0].ranks {
+				if activated := rk.lastActAt != 0; activated != (r == want) {
+					t.Errorf("%s: ACT to bank %d touched rank %d (lastActAt %d), want only rank %d", name, b, r, rk.lastActAt, want)
+				}
+			}
 		}
 	}
 }

@@ -14,9 +14,14 @@ import (
 // deduplication. Concurrent do calls for the same key collapse onto one
 // execution — the first caller runs fn, everyone else parks on the
 // flight and shares its outcome — so a burst of identical submissions
-// costs one simulation. Cached Results are shared by reference across
-// callers; they are treated as immutable (the daemon only ever marshals
-// them).
+// costs one simulation.
+//
+// The cache holds one copy of each Result and hands out that pointer:
+// every caller of do, get and put, the job records that finish with it
+// and the in-flight callers that joined it share the same *uc.Result.
+// Results are immutable once produced; the daemon only reads them
+// (backfillEpochs copies the epoch tail, snapshot and writeJSON
+// marshal), so a finished job costs its record, not a second Result.
 //
 // The bound is bytes, not entries: an entry is charged its marshaled
 // JSON length (the same accounting internal/checkpoint uses), so a
@@ -34,14 +39,14 @@ type resultCache struct {
 
 type cacheEntry struct {
 	key   string
-	res   uc.Result
+	res   *uc.Result
 	bytes int64
 }
 
 // flight is one in-progress execution other callers can join.
 type flight struct {
 	done chan struct{}
-	res  uc.Result
+	res  *uc.Result
 	err  error
 }
 
@@ -64,7 +69,7 @@ func newResultCache(maxBytes int64) *resultCache {
 // JSON length. Marshaling a Result cannot fail (it is plain exported
 // data), but a defensive floor keeps the accounting sane if it ever
 // did.
-func resultBytes(res uc.Result) int64 {
+func resultBytes(res *uc.Result) int64 {
 	b, err := json.Marshal(res)
 	if err != nil {
 		return 1
@@ -88,19 +93,19 @@ func (c *resultCache) bytes() int64 {
 
 // get peeks the cache without joining any in-flight execution (the
 // submit fast path: answer a cached run in one round trip).
-func (c *resultCache) get(key string) (uc.Result, bool) {
+func (c *resultCache) get(key string) (*uc.Result, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.entries[key]; ok {
 		c.order.MoveToFront(e)
 		return e.Value.(*cacheEntry).res, true
 	}
-	return uc.Result{}, false
+	return nil, false
 }
 
 // put inserts a result produced elsewhere (the persistent store, a
 // cluster peer) without running anything.
-func (c *resultCache) put(key string, res uc.Result) {
+func (c *resultCache) put(key string, res *uc.Result) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.insertLocked(key, res)
@@ -108,7 +113,7 @@ func (c *resultCache) put(key string, res uc.Result) {
 
 // insertLocked adds or refreshes an entry and evicts from the LRU tail
 // past the byte budget. Caller holds c.mu.
-func (c *resultCache) insertLocked(key string, res uc.Result) {
+func (c *resultCache) insertLocked(key string, res *uc.Result) {
 	if e, ok := c.entries[key]; ok {
 		c.order.MoveToFront(e)
 		return // content-addressed: same key, same bytes
@@ -137,7 +142,7 @@ func (c *resultCache) insertLocked(key string, res uc.Result) {
 // completes, so parked callers and Drain see a failed execution instead
 // of hanging forever on a channel nobody will ever close (and the
 // worker goroutine survives to take the next job).
-func (c *resultCache) do(key string, fn func() (uc.Result, error)) (res uc.Result, hit, shared bool, err error) {
+func (c *resultCache) do(key string, fn func() (*uc.Result, error)) (res *uc.Result, hit, shared bool, err error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		c.order.MoveToFront(e)

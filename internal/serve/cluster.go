@@ -25,19 +25,19 @@ const peerFillTimeout = 5 * time.Second
 // including a result that no longer unmarshals — reads as a miss: the
 // store is a cache of re-computable data, so degrading to re-simulation
 // is always safe.
-func (s *Server) storeGet(key string) (uc.Result, bool) {
+func (s *Server) storeGet(key string) (*uc.Result, bool) {
 	if s.store == nil {
-		return uc.Result{}, false
+		return nil, false
 	}
 	start := time.Now()
 	blob, ok, err := s.store.Get(key)
 	s.lat.storeRead.ObserveSince(start)
 	if err != nil || !ok {
-		return uc.Result{}, false
+		return nil, false
 	}
-	var res uc.Result
-	if err := json.Unmarshal(blob, &res); err != nil {
-		return uc.Result{}, false
+	res := new(uc.Result)
+	if err := json.Unmarshal(blob, res); err != nil {
+		return nil, false
 	}
 	return res, true
 }
@@ -45,7 +45,7 @@ func (s *Server) storeGet(key string) (uc.Result, bool) {
 // storePut persists a result. Write errors are swallowed: a full or
 // failing disk must not fail a simulation that already succeeded; the
 // daemon just loses durability for that entry.
-func (s *Server) storePut(key string, res uc.Result) {
+func (s *Server) storePut(key string, res *uc.Result) {
 	if s.store == nil {
 		return
 	}

@@ -395,9 +395,9 @@ func TestServeExecutePanic(t *testing.T) {
 // LRU first, and refuses to retain an entry bigger than its whole
 // budget.
 func TestCacheByteBounded(t *testing.T) {
-	res := func(workload string) uc.Result {
+	res := func(workload string) *uc.Result {
 		r, _ := fakeExecute(uc.Run{Workload: workload, Capacity: 1 << 20})
-		return r
+		return &r
 	}
 	one := resultBytes(res("w-0"))
 	c := newResultCache(4 * one)

@@ -352,10 +352,10 @@ func (s *Server) Drain(ctx context.Context) error {
 // reports the execution cost nothing here (memory cache hit or
 // coalesced onto an in-flight one); source is the execution-stage span
 // name recorded on the job timeline.
-func (s *Server) executeRun(ctx context.Context, r uc.Run, forwarded bool) (res uc.Result, cached bool, source string, err error) {
+func (s *Server) executeRun(ctx context.Context, r uc.Run, forwarded bool) (res *uc.Result, cached bool, source string, err error) {
 	key, err := uc.RunKey(r)
 	if err != nil {
-		return uc.Result{}, false, "", err
+		return nil, false, "", err
 	}
 	return s.executeKeyed(ctx, key, r, forwarded, nil)
 }
@@ -370,10 +370,11 @@ func (s *Server) executeRun(ctx context.Context, r uc.Run, forwarded bool) (res 
 // daemon, which must execute here (one hop maximum, no proxy loops).
 // onEpoch, when non-nil, receives telemetry epochs live — but only when
 // this call actually simulates; every other source delivers its timeline
-// on the finished Result, which the caller backfills.
-func (s *Server) executeKeyed(ctx context.Context, key string, r uc.Run, forwarded bool, onEpoch func(uc.TimelineEpoch)) (res uc.Result, cached bool, source string, err error) {
+// on the finished Result, which the caller backfills. The returned
+// Result is the cache's shared, immutable copy (see resultCache).
+func (s *Server) executeKeyed(ctx context.Context, key string, r uc.Run, forwarded bool, onEpoch func(uc.TimelineEpoch)) (res *uc.Result, cached bool, source string, err error) {
 	source = srcSimulated
-	res, hit, shared, err := s.cache.do(key, func() (uc.Result, error) {
+	res, hit, shared, err := s.cache.do(key, func() (*uc.Result, error) {
 		if res, ok := s.storeGet(key); ok {
 			s.m.storeHits.Add(1)
 			source = srcStoreHit
@@ -385,7 +386,7 @@ func (s *Server) executeKeyed(ctx context.Context, key string, r uc.Run, forward
 					if res, err := s.remoteExecute(ctx, owner, key, r); err == nil {
 						s.m.proxied.Add(1)
 						source = srcProxied
-						return res, nil
+						return &res, nil
 					}
 					// Owner unreachable: fall back to executing locally —
 					// availability over placement; the result is still
@@ -399,8 +400,8 @@ func (s *Server) executeKeyed(ctx context.Context, key string, r uc.Run, forward
 				// fill is a pure lookup, so it cannot loop.
 				s.m.peerFills.Add(1)
 				source = srcPeerFill
-				s.storePut(key, res)
-				return res, nil
+				s.storePut(key, &res)
+				return &res, nil
 			}
 		}
 		s.m.cacheMisses.Add(1)
@@ -408,14 +409,15 @@ func (s *Server) executeKeyed(ctx context.Context, key string, r uc.Run, forward
 		res, err := s.execute(r, onEpoch)
 		dur := time.Since(start)
 		s.lat.execute.Observe(dur.Seconds())
-		if err == nil {
-			// Feed the engine meter: events = the defaulted run's trace
-			// length (echoed on the result), accounted once per
-			// simulation — never per event.
-			s.meter.RecordRun(uint64(res.Run.AccessesPerCore)*uint64(max(res.Run.Cores, 0)), dur)
-			s.storePut(key, res)
+		if err != nil {
+			return nil, err
 		}
-		return res, err
+		// Feed the engine meter: events = the defaulted run's trace
+		// length (echoed on the result), accounted once per simulation —
+		// never per event.
+		s.meter.RecordRun(uint64(res.Run.AccessesPerCore)*uint64(max(res.Run.Cores, 0)), dur)
+		s.storePut(key, &res)
+		return &res, nil
 	})
 	switch {
 	case hit:
@@ -503,8 +505,8 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 		if ok {
 			j.tl.Observe(source, lookup)
 			j.recordExecution(true)
-			s.backfillEpochs(j, &res)
-			j.finish(ctx, nil, &res, nil, nil)
+			s.backfillEpochs(j, res)
+			j.finish(ctx, nil, res, nil, nil)
 			s.countFinished(j)
 			writeJSON(w, http.StatusOK, j.snapshot())
 			return
@@ -515,8 +517,11 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 	work := func(ctx context.Context) {
 		j.tl.Observe("queued", submitted)
 		j.setRunning()
-		var result *uc.Result
-		res, cached, err := uc.Result{}, false, ctx.Err()
+		var (
+			res    *uc.Result
+			cached bool
+		)
+		err := ctx.Err()
 		if err == nil {
 			if err = keyErr; err == nil {
 				var source string
@@ -529,10 +534,9 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 		}
 		if err == nil {
 			j.recordExecution(cached)
-			result = &res
 		}
-		s.backfillEpochs(j, result)
-		j.finish(ctx, err, result, nil, nil)
+		s.backfillEpochs(j, res)
+		j.finish(ctx, err, res, nil, nil)
 		s.countFinished(j)
 	}
 	s.submit(w, j, ctx, cancel, work)
@@ -599,11 +603,12 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 				}
 				start := time.Now()
 				res, cached, source, err := s.executeRun(ctx, run, forwarded)
-				if err == nil {
-					j.tl.Observe(source, start)
-					j.recordExecution(cached)
+				if err != nil {
+					return uc.Result{}, err
 				}
-				return res, err
+				j.tl.Observe(source, start)
+				j.recordExecution(cached)
+				return *res, nil
 			},
 		}
 		var (

@@ -109,7 +109,7 @@ func TestReplaySteadyStateZeroAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m.Replay(20_000) // Warm caches, visit buffers and predictor tables.
+			m.Replay(20_000) // Warm caches, prefetch slabs and predictor tables.
 			if allocs := testing.AllocsPerRun(10, func() { m.Replay(5_000) }); allocs != 0 {
 				t.Errorf("steady-state replay allocates %v times per 5k-event interval, want 0", allocs)
 			}

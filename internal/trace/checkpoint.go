@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 
 	"unisoncache/internal/checkpoint"
 	"unisoncache/internal/mem"
@@ -18,19 +19,31 @@ type Stateful interface {
 	LoadState(r *checkpoint.Reader) error
 }
 
-// maxPendingRestore bounds the pending-visit buffer a snapshot may carry;
-// real visits are bounded by pendingCap and only exceed it pathologically.
+// maxPendingRestore bounds the unconsumed visit a snapshot may carry; real
+// visits hold at most a few hundred events and only exceed this
+// pathologically.
 const maxPendingRestore = 1 << 20
 
-// SaveState serializes the stream's cursor: the RNG state and the
-// unconsumed remainder of the current visit. Profile-derived structures
-// (Zipf tables, the region permutation) are pure functions of the
-// configuration and are not serialized — LoadState restores into a stream
-// built from the same profile and seed.
+// SaveState serializes the stream's cursor in the form an eager generator
+// would hold it: the RNG state after the whole current visit, then the
+// visit's unconsumed events. Both come from finishing the visit on copies
+// of the cursor and the RNG, so the stream itself does not move.
+// Profile-derived structures (Zipf tables, the region permutation) are pure
+// functions of the configuration and are not serialized — LoadState
+// restores into a stream built from the same profile and seed.
 func (s *Stream) SaveState(w *checkpoint.Writer) {
 	w.Section("trace.stream")
-	w.U64(s.rng.state)
-	rest := s.pending[s.next:]
+	rest := slices.Clone(s.restore)
+	v, rng := s.cur, *s.rng
+	for {
+		rest = slices.Grow(rest, 256)
+		k := s.emit(&v, &rng, rest[len(rest):cap(rest)])
+		if k == 0 {
+			break
+		}
+		rest = rest[:len(rest)+k]
+	}
+	w.U64(rng.state)
 	w.U64(uint64(len(rest)))
 	for _, ev := range rest {
 		w.U32(ev.Gap)
@@ -40,9 +53,10 @@ func (s *Stream) SaveState(w *checkpoint.Writer) {
 	}
 }
 
-// LoadState restores a cursor saved by SaveState. The next visit
-// generation resets the pending buffer, so restoring the unconsumed suffix
-// at position zero reproduces the original event sequence exactly.
+// LoadState restores a cursor saved by SaveState. The saved RNG state
+// already stands after the saved visit, so the unconsumed events go into
+// the restore queue and the cursor is left exhausted: the stream emits the
+// queue, then generates its next visit exactly where the original would.
 func (s *Stream) LoadState(r *checkpoint.Reader) error {
 	r.Section("trace.stream")
 	state := r.U64()
@@ -53,9 +67,11 @@ func (s *Stream) LoadState(r *checkpoint.Reader) error {
 	if n > maxPendingRestore || int(n)*21 > r.Remaining() {
 		return fmt.Errorf("trace: snapshot pending-visit length %d is corrupt", n)
 	}
-	s.rng.state = state
-	s.pending = s.pending[:0]
-	for i := uint64(0); i < n; i++ {
+	var restore []Event
+	if n > 0 {
+		restore = make([]Event, n)
+	}
+	for i := range restore {
 		ev := Event{Gap: r.U32()}
 		addr := r.U64()
 		ev.Addr = mem.Addr(addr)
@@ -67,9 +83,11 @@ func (s *Stream) LoadState(r *checkpoint.Reader) error {
 		if addr%mem.BlockSize != 0 {
 			return fmt.Errorf("trace: snapshot pending event %d has unaligned address", i)
 		}
-		s.pending = append(s.pending, ev)
+		restore[i] = ev
 	}
-	s.next = 0
+	s.rng.state = state
+	s.cur = visit{}
+	s.restore = restore
 	return r.Err()
 }
 

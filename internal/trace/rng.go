@@ -162,10 +162,24 @@ func (r *RNG) geometricTab(t *geomTable) int {
 	if t == nil {
 		return 0
 	}
-	w := r.Uint64() >> 11 // the exact 53-bit sample Float64 would use
+	return t.at(r.Uint64() >> 11) // the exact 53-bit sample Float64 would use
+}
+
+// at returns the sample's value for the 53-bit uniform w: the bucket's
+// entry, or the exact inverse CDF for a bucket near a step. The per-event
+// generator loop calls it directly so its table path stays inline.
+func (t *geomTable) at(w uint64) int {
 	if v := t.vals[w>>(53-geomTableBits)]; v >= 0 {
 		return int(v)
 	}
+	return t.exact(w)
+}
+
+// exact is the inverse CDF at the 53-bit uniform w. It stays out of line
+// so that at fits the compiler's inlining budget.
+//
+//go:noinline
+func (t *geomTable) exact(w uint64) int {
 	u := float64(w) / (1 << 53)
 	return int(math.Floor(math.Log1p(-u) / t.denom))
 }

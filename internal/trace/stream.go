@@ -1,12 +1,14 @@
 package trace
 
 import (
+	"math/bits"
+
 	"unisoncache/internal/mem"
 )
 
 // Event is one memory reference with its leading instruction gap. The
 // fields are ordered so Write packs beside Gap: an Event is 24 bytes, not
-// 32, in every per-core slab and visit buffer.
+// 32, in every per-core slab.
 type Event struct {
 	// Gap is the number of non-memory instructions retired before this
 	// access.
@@ -36,15 +38,30 @@ type Stream struct {
 	// exact log1p fallback guaranteeing bit-identical values.
 	gapTab, repeatTab *geomTable
 
-	// Current visit replay state.
-	pending []Event
-	next    int
+	// cur is the visit being emitted.
+	cur visit
+	// restore holds the unconsumed events of the visit a snapshot was
+	// taken in; they are emitted before anything else. It is nil except
+	// between a LoadState and the first pull past those events.
+	restore []Event
 }
 
-// pendingCap presizes the visit buffer past the largest plausible visit
-// (a full 8-region scan with geometric repeats) so steady-state generation
-// never grows it.
-const pendingCap = 1024
+// visit is the emission cursor of one region visit. generateVisit makes
+// the visit's own draws (function, region, pattern) and sets the cursor;
+// the per-event draws are made as events are written, in the order an
+// eager generator would make them: a block's repeat count when the block
+// starts, then a gap and a write flag per event.
+type visit struct {
+	pc     uint64
+	region uint64   // region being emitted
+	last   uint64   // the visit's last region: a scan covers region..last
+	mask   uint32   // blocks of region not yet started
+	addr   mem.Addr // the current block's address
+	reps   int      // events still owed to the current block
+}
+
+// fullRegion is the block mask of a whole region.
+const fullRegion = uint32(1<<RegionBlocks - 1)
 
 // NewStream builds the access stream for one core. All cores of a run share
 // baseSeed (the region permutation key) and differ by core index.
@@ -60,7 +77,6 @@ func NewStream(p *Profile, baseSeed uint64, core int) (*Stream, error) {
 		perm:      NewPerm(p.Regions(), baseSeed),
 		gapTab:    geomTableFor(geomDenom(p.GapMean)),
 		repeatTab: geomTableFor(geomDenom(p.RepeatMean)),
-		pending:   make([]Event, 0, pendingCap),
 	}, nil
 }
 
@@ -215,38 +231,85 @@ func (s *Stream) bandBounds(k, c, n uint64) (lo, hi uint64) {
 // Next returns the next access event, generating a fresh region visit when
 // the current one is exhausted.
 func (s *Stream) Next() Event {
-	for s.next >= len(s.pending) {
-		s.generateVisit()
-	}
-	ev := s.pending[s.next]
-	s.next++
-	return ev
+	var ev [1]Event
+	s.NextBatch(ev[:])
+	return ev[0]
 }
 
 // NextBatch implements Batcher: it fills dst with the same events the same
-// number of Next calls would return, copying whole visits at a time.
+// number of Next calls would return, writing each event straight into dst.
 func (s *Stream) NextBatch(dst []Event) int {
 	n := 0
-	for n < len(dst) {
-		if s.next >= len(s.pending) {
-			s.generateVisit()
-			continue
+	if len(s.restore) > 0 {
+		n = copy(dst, s.restore)
+		s.restore = s.restore[n:]
+		if len(s.restore) == 0 {
+			s.restore = nil
 		}
-		c := copy(dst[n:], s.pending[s.next:])
-		n += c
-		s.next += c
 	}
+	for {
+		n += s.emit(&s.cur, s.rng, dst[n:])
+		if n == len(dst) {
+			return n
+		}
+		s.generateVisit()
+	}
+}
+
+// emit writes v's next events into dst, drawing from rng, and returns how
+// many it wrote: len(dst), or fewer when the visit ran out. The cursor and
+// the RNG state are kept in locals for the loop and stored back once, and
+// the geometric draws go straight to their tables (geometricTab's steps,
+// inlined), so the per-event path makes no call outside the rare buckets
+// that need the exact formula.
+func (s *Stream) emit(v *visit, rng *RNG, dst []Event) int {
+	gapTab, repeatTab, writeFrac := s.gapTab, s.repeatTab, s.prof.WriteFrac
+	pc, region, last, mask, addr, reps := v.pc, v.region, v.last, v.mask, v.addr, v.reps
+	r := *rng
+	n := 0
+	for n < len(dst) {
+		if reps == 0 {
+			if mask == 0 {
+				if region == last {
+					break
+				}
+				region++
+				mask = fullRegion
+			}
+			b := bits.TrailingZeros32(mask)
+			mask &= mask - 1
+			addr = mem.BlockAddr(region*RegionBlocks + uint64(b))
+			reps = 1
+			if repeatTab != nil {
+				reps += repeatTab.at(r.Uint64() >> 11)
+			}
+		}
+		out := dst[n:min(n+reps, len(dst))]
+		for i := range out {
+			gap := 0
+			if gapTab != nil {
+				gap = gapTab.at(r.Uint64() >> 11)
+			}
+			out[i] = Event{
+				Gap:   uint32(gap),
+				Write: r.Bernoulli(writeFrac),
+				Addr:  addr,
+				PC:    pc,
+			}
+		}
+		n += len(out)
+		reps -= len(out)
+	}
+	*rng = r
+	v.region, v.mask, v.addr, v.reps = region, mask, addr, reps
 	return n
 }
 
-// generateVisit materializes one visit: pick a function, then either sweep
+// generateVisit starts one visit: pick a function, then either sweep
 // several physically consecutive regions (scan workloads) or touch one
-// region with the function's pattern, emitting accesses in ascending order
-// with per-block repeats and instruction gaps.
+// region with the function's pattern. emit then produces the accesses in
+// ascending block order with per-block repeats and instruction gaps.
 func (s *Stream) generateVisit() {
-	s.pending = s.pending[:0]
-	s.next = 0
-
 	pcIdx := s.zipfPC.Sample(s.rng)
 	pc := pcValue(pcIdx)
 	if s.prof.Scan {
@@ -278,42 +341,24 @@ func (s *Stream) generateVisit() {
 	if pattern == 0 {
 		pattern = base
 	}
-
-	regionBase := region * RegionBlocks
-	for b := 0; b < RegionBlocks; b++ {
-		if pattern&(1<<b) == 0 {
-			continue
-		}
-		addr := mem.BlockAddr(regionBase + uint64(b))
-		repeats := 1 + s.rng.geometricTab(s.repeatTab)
-		for rep := 0; rep < repeats; rep++ {
-			s.pending = append(s.pending, Event{
-				Gap:   uint32(s.rng.geometricTab(s.gapTab)),
-				Addr:  addr,
-				PC:    pc,
-				Write: s.rng.Bernoulli(s.prof.WriteFrac),
-			})
-		}
-	}
+	s.cur = visit{pc: pc, region: region, last: region, mask: pattern}
 }
 
-// generateScan emits one multi-region sequential sweep: scans cover 2-7
-// physically consecutive 2 KB regions (4-14 KB), fully reading interior
-// regions and partially reading the two boundary ones. Long physically
-// contiguous sweeps are what make scan footprints page-size-agnostic:
-// whatever page granularity a cache uses, its interior pages are touched
-// end to end, so the (PC, offset) trigger predicts them exactly.
+// generateScan starts one multi-region sequential sweep: scans cover 3-10
+// physically consecutive 2 KB regions (6-20 KB), fully reading interior
+// regions and partially reading the first one. Long physically contiguous
+// sweeps are what make scan footprints page-size-agnostic: whatever page
+// granularity a cache uses, its interior pages are touched end to end, so
+// the (PC, offset) trigger predicts them exactly.
 func (s *Stream) generateScan(pcIdx, pc uint64) {
-	n := s.prof.Regions()
 	base := s.pickRegion(pcIdx)
 	density, _ := s.pcDensity(pcIdx)
-	regions := 3 + int(mem.Mix64(pcIdx^0x5cab)%8)
-	// Boundary trims derive from the function (stable) plus jitter.
+	regions := 3 + mem.Mix64(pcIdx^0x5cab)%8
+	// The head trim derives from the function (stable) plus jitter.
 	// Scans start part-way into their first allocation unit but end at a
 	// region boundary (column chunks and postings lists are allocated in
 	// region-sized units).
 	headTrim := int(mem.Mix64(pcIdx^0xeadd) % (RegionBlocks / 2))
-	tailTrim := 0
 	if s.prof.PatternNoise > 0 && s.rng.Bernoulli(s.prof.PatternNoise*8) {
 		headTrim += s.rng.Intn(3) - 1
 	}
@@ -321,52 +366,13 @@ func (s *Stream) generateScan(pcIdx, pc uint64) {
 	if density < 0.5 && regions > 3 {
 		regions = 3
 	}
-	clamp := func(v, lo, hi int) int {
-		if v < lo {
-			return lo
-		}
-		if v > hi {
-			return hi
-		}
-		return v
-	}
-	headTrim = clamp(headTrim, 0, RegionBlocks-1)
-	tailTrim = clamp(tailTrim, 0, RegionBlocks-1)
-	for i := 0; i < regions; i++ {
-		region := base + uint64(i)
-		if region >= n {
-			break
-		}
-		lo, hi := 0, RegionBlocks
-		if i == 0 {
-			lo = headTrim
-		}
-		if i == regions-1 {
-			hi = RegionBlocks - tailTrim
-		}
-		if hi <= lo {
-			continue
-		}
-		s.emitRange(region, lo, hi, pc)
-	}
-	if len(s.pending) == 0 {
-		s.emitRange(base, 0, RegionBlocks, pc)
-	}
-}
-
-// emitRange appends accesses for blocks [lo, hi) of region.
-func (s *Stream) emitRange(region uint64, lo, hi int, pc uint64) {
-	regionBase := region * RegionBlocks
-	for b := lo; b < hi; b++ {
-		addr := mem.BlockAddr(regionBase + uint64(b))
-		repeats := 1 + s.rng.geometricTab(s.repeatTab)
-		for rep := 0; rep < repeats; rep++ {
-			s.pending = append(s.pending, Event{
-				Gap:   uint32(s.rng.geometricTab(s.gapTab)),
-				Addr:  addr,
-				PC:    pc,
-				Write: s.rng.Bernoulli(s.prof.WriteFrac),
-			})
-		}
+	// headTrim stays below RegionBlocks and base below the population, so
+	// the first region always has blocks to emit.
+	headTrim = min(max(headTrim, 0), RegionBlocks-1)
+	s.cur = visit{
+		pc:     pc,
+		region: base,
+		last:   min(base+regions, s.prof.Regions()) - 1,
+		mask:   fullRegion &^ (1<<headTrim - 1),
 	}
 }

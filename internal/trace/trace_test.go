@@ -207,8 +207,8 @@ func TestProfileValidateRejects(t *testing.T) {
 }
 
 // TestEventSize pins the field order that packs Write beside Gap: every
-// core's prefetch slab and visit buffer holds Events, so the 8 bytes per
-// event a looser order pads in show up in every run's heap.
+// core's prefetch slab holds Events, so the 8 bytes per event a looser
+// order pads in show up in every run's heap.
 func TestEventSize(t *testing.T) {
 	if got := unsafe.Sizeof(Event{}); got != 24 {
 		t.Errorf("Event is %d bytes, want 24", got)
